@@ -73,12 +73,11 @@ def _sysgen_speed() -> float:
 
 
 def _cosim_run(make_design, fast_forward: bool = True,
-               force_interp: bool = False):
+               engine: str = "auto"):
     design = make_design()
-    design.model.force_interpreter = force_interp
     sim = CoSimulation(design.program, design.model, design.mb,
                        cpu_config=design.cpu_config,
-                       fast_forward=fast_forward)
+                       fast_forward=fast_forward, engine=engine)
     result = sim.run()
     assert result.exit_code == 0
     return result
@@ -140,12 +139,12 @@ def test_table2_simulator_speeds(once):
 PRE_COMPILED_BASELINE = 9_605
 
 
-def _sysgen_engine_run(force_interp: bool):
+def _sysgen_engine_run(engine: str):
     """The `_sysgen_speed` workload pinned to one engine, returning
     both the speed and a full observable fingerprint so the ablation
     can assert bit-identity, not just compare throughput."""
     model, mb = build_cordic_model(4)
-    model.force_interpreter = force_interp
+    model.set_engine(engine)
     to_hw = mb.to_hw_channel(0)
     from_hw = mb.from_hw_channel(0)
     model.compile()
@@ -174,8 +173,8 @@ def test_table2_compiled_schedule_ablation(once, compiled_smoke):
     pre-compiled baseline."""
 
     def measure():
-        interp_speed, interp_fp = _sysgen_engine_run(True)
-        compiled_speed, compiled_fp = _sysgen_engine_run(False)
+        interp_speed, interp_fp = _sysgen_engine_run("interpreter")
+        compiled_speed, compiled_fp = _sysgen_engine_run("compiled")
         return interp_speed, compiled_speed, interp_fp == compiled_fp
 
     interp_speed, compiled_speed, identical = once(measure)
@@ -193,7 +192,7 @@ def test_table2_compiled_schedule_ablation(once, compiled_smoke):
         format_table(
             ["engine", "cyc/s", "vs interpreter", "vs recorded 9,605"],
             [
-                ("interpreter (REPRO_SYSGEN_INTERP=1)",
+                ("interpreter (engine='interpreter')",
                  f"{interp_speed:,.0f}", "1.00x",
                  f"{interp_speed / PRE_COMPILED_BASELINE:.2f}x"),
                 ("compiled schedule (default)",
@@ -229,12 +228,9 @@ def test_table2_fast_forward_ablation(once, fast_forward_smoke):
     def measure():
         out = {}
         for name, make in ABLATION_WORKLOADS.items():
-            for engine, force in (("interpreter", True),
-                                  ("compiled", False)):
-                off = _cosim_run(make, fast_forward=False,
-                                 force_interp=force)
-                on = _cosim_run(make, fast_forward=True,
-                                force_interp=force)
+            for engine in ("interpreter", "compiled"):
+                off = _cosim_run(make, fast_forward=False, engine=engine)
+                on = _cosim_run(make, fast_forward=True, engine=engine)
                 out[f"{name} [{engine}]"] = (off, on, engine)
         return out
 

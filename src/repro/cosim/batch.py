@@ -596,7 +596,6 @@ class BatchedCoSimulation:
 
         ``until`` is one budget for all lanes or a per-lane list (the
         per-lane variant is a divergence axis of the equivalence suite).
-        ``policy.deadlock_window`` overrides every lane's watchdog;
         ``policy.wall_timeout_s`` bounds the whole batch — exceeding it
         records a :class:`CoSimTimeout` on each unfinished lane.
 
@@ -613,13 +612,6 @@ class BatchedCoSimulation:
             budgets = [policy.budget(u) for u in until]
         else:
             budgets = [policy.budget(until)] * self.n
-        if policy.deadlock_window is not None:
-            if policy.deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            for lane, st in enumerate(self._st):
-                st.window = policy.deadlock_window
-                cycle = self.sims[lane].cpu.cycle
-                st.next_check = cycle + (st.window - cycle % st.window)
         self._budgets = budgets
         self._policy = policy
 

@@ -37,13 +37,22 @@ schedule* — one generated python function per design (see
 :mod:`repro.sysgen.compiled` and TUTORIAL §11) — rather than per-block
 interpreter calls.  Observables are bit-identical either way; pass
 ``engine="interpreter"`` (or wrap the construction in
-``repro.runapi.engine_scope("interpreter")``) to force the classic
-interpreter when A/B-debugging an ``emit()`` hook.  The historical
-spellings — ``REPRO_SYSGEN_INTERP=1`` and ``model.force_interpreter``
-— still work under ``engine="auto"`` but are deprecated and warn once.
+``repro.runapi.engine_scope("interpreter")``, or run
+``mb32-conformance --engine interpreter``) to force the classic
+interpreter when A/B-debugging an ``emit()`` hook.
 ``engine="batched"`` is rejected here: the lockstep vector engine runs
 N whole simulations at once via
 :class:`repro.cosim.batch.BatchedCoSimulation`.
+
+One run loop
+------------
+:class:`ClockedSimulation` holds the only clocked run loop: the cycle
+budget, the absolute-window-aligned watchdog and wall-timeout checks,
+the fast-forward skip (and its ``verify_fast_forward`` cross-check),
+hw-idle caching and phase attribution.  ``CoSimulation`` runs it with
+one CPU; :class:`repro.cosim.multicpu.MultiCoSimulation` with K.  With
+``telemetry.enable_phases()`` the same loop times one iteration every
+:data:`PHASE_STRIDE` cycles instead of running a separate timed copy.
 
 Wall-clock time is recorded so the benchmark harness can reproduce the
 paper's Table I/II simulation-time comparisons.
@@ -59,7 +68,7 @@ from repro.asm.linker import Program
 from repro.cosim.mb_block import MicroBlazeBlock
 from repro.iss.cpu import ADVANCE_FOREVER, CPU, CPUConfig, HaltReason
 from repro.iss.run import make_cpu
-from repro.runapi import RunOutcome, RunPolicy, deprecated_once
+from repro.runapi import RunOutcome, RunPolicy
 from repro.runapi.engine import (
     ENGINES,
     SCALAR_ENGINES,
@@ -74,7 +83,6 @@ from repro.telemetry.events import (
     FAST_FORWARD,
     TelemetryEvent,
 )
-from repro.telemetry.profile import PhaseTimer
 
 
 class CoSimDeadlock(RuntimeError):
@@ -94,14 +102,13 @@ class FastForwardError(RuntimeError):
 
 class CoSimTimeout(RuntimeError):
     """A run exceeded its wall-clock budget (see :func:`run_timeout` /
-    the ``wall_timeout_s`` argument of :meth:`CoSimulation.run`).  The
+    ``RunPolicy(wall_timeout_s=...)``).  The
     sweep engine records this as a per-point ``timeout`` status instead
     of letting one pathological design point stall a whole sweep."""
 
 
-#: process-wide default wall-clock budget applied to every
-#: :meth:`CoSimulation.run` that is not given an explicit
-#: ``wall_timeout_s`` — set via the :func:`run_timeout` context manager.
+#: process-wide default wall-clock budget applied to every run whose
+#: policy gives no ``wall_timeout_s`` — set via :func:`run_timeout`.
 _default_wall_timeout: float | None = None
 
 
@@ -191,7 +198,308 @@ class CoSimResult(RunOutcome):
         return self.simulated_seconds * 1e6
 
 
-class CoSimulation:
+#: cycles between two phase-timed loop iterations (see
+#: :meth:`ClockedSimulation._run_clocked`)
+PHASE_STRIDE = 128
+
+
+def _no_progress(cpus: list[CPU], boundary: int, window: int) -> bool:
+    """Watchdog tripwire at absolute cycle ``boundary`` (a multiple of
+    ``window``): none of ``cpus`` retired an instruction in the last
+    full window.  Retire cycles are local CPU clocks, which equal the
+    global clock for every CPU still running, so the comparison is
+    exact and restore-transparent.  ``boundary >= 2 * window``
+    preserves the historical grace of never tripping the very first
+    boundary of a fresh simulation."""
+    return (
+        boundary >= 2 * window
+        and max(cpu.stats.last_retire_cycle for cpu in cpus)
+        <= boundary - window
+    )
+
+
+class ClockedSimulation:
+    """The clocked run loop shared by :class:`CoSimulation` (one CPU)
+    and :class:`~repro.cosim.multicpu.MultiCoSimulation` (K CPUs).
+
+    Subclasses provide ``fast_forward``, ``verify_fast_forward``,
+    ``telemetry``, ``_models`` and ``_stores_touch_hw`` (see
+    :meth:`_adopt_models`), and the per-class ``_raise_timeout`` /
+    ``_raise_deadlock`` reporters; result types stay per class.
+    """
+
+    #: cycles without a single retired instruction before declaring
+    #: deadlock.  FIFO-depth-bounded waits resolve within tens of
+    #: cycles, so this leaves orders of magnitude of slack.
+    DEADLOCK_WINDOW = 16_384
+
+    #: verify-mode error texts; reports embed them, so each class keeps
+    #: its own wording
+    _FF_RETIRED_TEXT = ("an instruction retired inside a {skip}-cycle "
+                        "fast-forward window")
+    _FF_BLOCK_TEXT = ("block {block!r} outputs changed during a "
+                      "fast-forward window (idle_horizon over-promised): "
+                      "{outs} -> {now}")
+
+    def _adopt_models(self, models: list[Model], engine: str,
+                      deadlock_window: int | None,
+                      batched_hint: str) -> None:
+        """Resolve ``engine``, pin and compile every hardware model and
+        apply a per-instance watchdog window."""
+        if engine not in ENGINES:
+            raise EngineError(
+                f"unknown engine {engine!r}; expected one of "
+                f"{', '.join(ENGINES)}"
+            )
+        if engine == "auto":
+            # An ambient "batched" request is advisory: harnesses that
+            # can batch honor it, a scalar construction stays "auto".
+            ambient = current_engine()
+            if ambient in SCALAR_ENGINES:
+                engine = ambient
+        if engine == "batched":
+            raise EngineError(batched_hint)
+        self.engine_request = engine
+        self._models = models
+        if engine in SCALAR_ENGINES:
+            for model in models:
+                model.set_engine(engine)
+        for model in models:
+            model.compile()
+        # CPU stores reach hardware state directly only through
+        # OPB-mapped register banks; when none exist, stores cannot
+        # disturb a quiescent model and need not invalidate idleness.
+        self._stores_touch_hw = any(
+            hasattr(block, "opb_write")
+            for m in models
+            for block in m.blocks
+        )
+        if deadlock_window is not None:
+            if deadlock_window < 1:
+                raise ValueError("deadlock_window must be >= 1")
+            # Instance attribute shadows the class-level default.
+            self.DEADLOCK_WINDOW = deadlock_window
+
+    def _run_clocked(
+        self,
+        cpus: list[CPU],
+        now: int,
+        budget: int,
+        start: float,
+        wall_timeout_s: float | None,
+        *,
+        watch_halted: bool,
+        live_clock: bool,
+    ) -> None:
+        """Advance ``cpus`` and every model on one clock from cycle
+        ``now`` for at most ``budget`` cycles, or until every CPU has
+        halted.
+
+        Per cycle the running CPUs tick in list order, then every model
+        steps.  With fast-forward on, windows in which no running CPU
+        can issue and every model is quiescent are skipped in one step
+        (see the module docstring).  ``wall_timeout_s`` (default: the
+        ambient :func:`run_timeout` budget) counts from ``start``.
+
+        ``watch_halted`` keeps the watchdog checking the halted CPUs on
+        a boundary reached in the cycle the last one halts (the
+        single-CPU contract); otherwise the watchdog only ever observes
+        running CPUs.  ``live_clock`` publishes the clock to
+        ``self._cycle`` every iteration, for owners whose telemetry
+        clock reads it mid-run.
+        """
+        telemetry = self.telemetry
+        events = timer = None
+        if telemetry is not None:
+            events = telemetry.bus
+            if telemetry.phases is not None and telemetry.phases.enabled:
+                timer = telemetry.phases
+        models = self._models
+        fast = self.fast_forward or self.verify_fast_forward
+        verify = self.verify_fast_forward
+        touch = self._stores_touch_hw
+        if wall_timeout_s is None:
+            wall_timeout_s = _default_wall_timeout
+        deadline = None if wall_timeout_s is None else start + wall_timeout_s
+        perf = time.perf_counter
+        clock0 = now
+        stop = now + budget
+        window = self.DEADLOCK_WINDOW
+        # Watchdog checks land on *absolute* multiples of the window and
+        # trip on persisted CPU state (stats.last_retire_cycle), so a
+        # checkpoint-restored continuation checks at exactly the cycles
+        # an uninterrupted run would — deadlock detection (and the
+        # fast-forward skip boundaries it caps) is restore-transparent.
+        next_check = now - now % window + window
+
+        # Phase timing samples one iteration per PHASE_STRIDE cycles.
+        # The sample point shares the watchdog's end-of-iteration
+        # compare (``next_event``), so an untimed run does no extra
+        # per-cycle work; skips stay capped by the watchdog alone.
+        timed = timer is not None
+        next_sample = ADVANCE_FOREVER
+        next_event = now if timed else next_check
+        t0 = t1 = t2 = t_prev = start
+
+        active = [cpu for cpu in cpus if not cpu.halted]
+        # Cached hardware quiescence: once every model is at a fixed
+        # point it stays there until a CPU completes an FSL transfer
+        # (or an OPB store lands), so the O(blocks) idle_horizon walk
+        # runs once per busy/blocked episode, not once per cycle.
+        # ``ops_base`` is the activity count when idleness was cached;
+        # ``frozen`` carries the counts of CPUs that halted meanwhile.
+        hw_idle = False
+        ops_base = frozen = 0
+        skip = 0  # stays 0 with fast-forward off
+
+        while active and now < stop:
+            if fast:
+                skip = 0
+                if hw_idle:
+                    hw_horizon = ADVANCE_FOREVER
+                else:
+                    # IDLE_FOREVER and ADVANCE_FOREVER share a value, so
+                    # one minimum covers finite and unbounded horizons.
+                    hw_horizon = ADVANCE_FOREVER
+                    for m in models:
+                        h = m.idle_horizon()
+                        if h < hw_horizon:
+                            hw_horizon = h
+                    if hw_horizon >= ADVANCE_FOREVER:
+                        hw_idle = True
+                        ops_base = frozen
+                        for cpu in active:
+                            stats = cpu.stats
+                            ops_base += stats.fsl_puts + stats.fsl_gets
+                            if touch:
+                                ops_base += stats.stores
+                if hw_horizon > 0:
+                    # A CPU that can issue now (horizon 0) is the common
+                    # case: settle it before paying for the min() call.
+                    skip = hw_horizon
+                    for cpu in active:
+                        h = cpu.advance_horizon()
+                        if h < skip:
+                            skip = h
+                    if skip:
+                        skip = min(skip, next_check - now, stop - now)
+                if timed:
+                    t1 = perf()
+            if skip:
+                if verify:
+                    self._skip_checked(skip, active)
+                else:
+                    for cpu in active:
+                        cpu.advance(skip)
+                    for m in models:
+                        m.fast_forward(skip)
+                now += skip
+                if events is not None:
+                    # Condensed stand-in for the skipped window so
+                    # exported traces stay cycle-faithful.
+                    events.emit(TelemetryEvent(
+                        FAST_FORWARD, now, COSIM_TRACK, skip
+                    ))
+            elif hw_idle:
+                ops = frozen
+                for cpu in active:
+                    cpu.tick()
+                    stats = cpu.stats
+                    work = stats.fsl_puts + stats.fsl_gets
+                    if touch:
+                        work += stats.stores
+                    ops += work
+                    if cpu.halted:
+                        frozen += work
+                        active = [c for c in active if not c.halted]
+                if timed:
+                    t2 = perf()
+                if ops != ops_base:
+                    hw_idle = False
+                if hw_idle and not verify:
+                    # The models are frozen: advancing their clocks is
+                    # all a step() would do.
+                    for m in models:
+                        m.fast_forward(1)
+                else:
+                    for m in models:
+                        m.step()
+                now += 1
+            else:
+                for cpu in active:
+                    cpu.tick()
+                    if cpu.halted:
+                        active = [c for c in active if not c.halted]
+                if timed:
+                    t2 = perf()
+                for m in models:
+                    m.step()
+                now += 1
+            if live_clock:
+                self._cycle = now
+            if now >= next_event:
+                if timed:
+                    t_prev = timer.sample(
+                        t_prev, t0, t1 if fast else None,
+                        None if skip else t2, perf())
+                    timed = False
+                    next_sample = now + PHASE_STRIDE
+                if now >= next_check:
+                    if deadline is not None and perf() >= deadline:
+                        self._raise_timeout(wall_timeout_s, now - clock0)
+                    watched = active or (cpus if watch_halted else None)
+                    if watched and _no_progress(watched, now, window):
+                        self._raise_deadlock(window)
+                    next_check = now + window
+                if now >= next_sample:
+                    # time the next iteration; its end re-enters here
+                    timed = True
+                    next_event = now
+                    t0 = t1 = perf()
+                else:
+                    next_event = min(next_check, next_sample)
+
+    def _skip_checked(self, skip: int, active: list[CPU]) -> None:
+        """verify_fast_forward mode: execute a would-be skipped window
+        per-cycle and prove no CPU issued and no model moved."""
+        models = self._models
+        instr_before = [cpu.stats.instructions for cpu in active]
+        snapshot = [
+            (
+                m,
+                [(p, len(p.samples), p.port.value) for p in m.probes],
+                [
+                    (b, {k: o.value for k, o in b.outputs.items()})
+                    for b in m.blocks
+                ],
+            )
+            for m in models
+        ]
+        for _ in range(skip):
+            for cpu in active:
+                cpu.tick()
+            for m in models:
+                m.step()
+        for cpu, before in zip(active, instr_before):
+            if cpu.stats.instructions != before:
+                raise FastForwardError(self._FF_RETIRED_TEXT.format(
+                    track=cpu.track, skip=skip))
+        for m, probes, blocks in snapshot:
+            for probe, n0, value in probes:
+                tail = probe.samples[n0:]
+                if len(tail) != skip or any(s != value for s in tail):
+                    raise FastForwardError(
+                        f"probe {probe.name!r} changed during a "
+                        f"fast-forward window of model {m.name!r}"
+                    )
+            for block, outs in blocks:
+                now = {k: o.value for k, o in block.outputs.items()}
+                if now != outs:
+                    raise FastForwardError(self._FF_BLOCK_TEXT.format(
+                        block=block.name, outs=outs, now=now))
+
+
+class CoSimulation(ClockedSimulation):
     """Couples one CPU with one hardware model over FSL channels."""
 
     def __init__(
@@ -233,61 +541,26 @@ class CoSimulation:
         ``engine`` selects the hardware execution engine for every
         attached model: ``"compiled"`` / ``"interpreter"`` pin it,
         ``"auto"`` (default) honors an enclosing
-        :func:`repro.runapi.engine_scope` and then the deprecated
-        interpreter knobs; ``"batched"`` is rejected (see the module
-        docstring)."""
+        :func:`repro.runapi.engine_scope` and otherwise compiles;
+        ``"batched"`` is rejected (see the module docstring)."""
         self.program = program
         self.model = model
         self.mb_block = mb_block
         self.extra_models = list(extra_models or [])
         self.fast_forward = fast_forward
         self.verify_fast_forward = verify_fast_forward
-        if engine not in ENGINES:
-            raise EngineError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}"
-            )
-        if engine == "auto":
-            # An ambient "batched" request is advisory: harnesses that
-            # can batch honor it, a scalar construction stays "auto".
-            ambient = current_engine()
-            if ambient in SCALAR_ENGINES:
-                engine = ambient
-        if engine == "batched":
-            raise EngineError(
-                "engine='batched' runs N whole simulations in lockstep; "
-                "construct a repro.cosim.batch.BatchedCoSimulation (or "
-                "pass --batch to mb32-dse / mb32-faultsim) instead"
-            )
-        self.engine_request = engine
+        self._adopt_models(
+            [self.model, *self.extra_models], engine, deadlock_window,
+            "engine='batched' runs N whole simulations in lockstep; "
+            "construct a repro.cosim.batch.BatchedCoSimulation (or "
+            "pass --batch to mb32-dse / mb32-faultsim) instead",
+        )
         self.cpu: CPU = make_cpu(
             program,
             config=cpu_config,
             fsl=mb_block.fsl_ports,
             memory_size=memory_size,
         )
-        if engine in SCALAR_ENGINES:
-            self.model.set_engine(engine)
-            for extra in self.extra_models:
-                extra.set_engine(engine)
-        self.model.compile()
-        for extra in self.extra_models:
-            extra.compile()
-        self._models: list[Model] = [self.model, *self.extra_models]
-        # CPU stores reach hardware state directly only through
-        # OPB-mapped register banks; when none exist, stores cannot
-        # disturb a quiescent model and need not invalidate idleness.
-        self._stores_touch_hw = any(
-            hasattr(block, "opb_write")
-            for m in self._models
-            for block in m.blocks
-        )
-        if deadlock_window is not None:
-            if deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            # Instance attribute shadows the class-level default; run()
-            # reads self.DEADLOCK_WINDOW.
-            self.DEADLOCK_WINDOW = deadlock_window
         self.telemetry = telemetry if telemetry is not None \
             else current_telemetry()
         if self.telemetry is not None:
@@ -317,208 +590,37 @@ class CoSimulation:
             for m in models:
                 m.step()
 
-    #: cycles without a single retired instruction before declaring
-    #: deadlock.  FIFO-depth-bounded waits resolve within tens of
-    #: cycles, so this leaves orders of magnitude of slack.
-    DEADLOCK_WINDOW = 16_384
-
     def run(
         self,
         until: int | None = None,
         *,
         policy: RunPolicy | None = None,
-        max_cycles: int | None = None,
-        wall_timeout_s: float | None = None,
     ) -> CoSimResult:
         """Run until the software exits (or the cycle budget).
 
         ``until`` is the cycle budget for this call (default 50M, the
         historical ceiling); ``policy`` is a
-        :class:`~repro.runapi.RunPolicy` whose non-``None`` fields
-        override the simulation's configured wall-clock budget,
-        fast-forward mode and watchdog window for this call only.
+        :class:`~repro.runapi.RunPolicy` whose ``wall_timeout_s``
+        overrides the ambient :func:`run_timeout` budget for this call.
 
         Raises :class:`CoSimDeadlock` when the processor is blocked on
         FSL with no progress for :attr:`DEADLOCK_WINDOW` cycles, and
-        :class:`CoSimTimeout` when the wall-clock budget (policy,
-        deprecated ``wall_timeout_s`` keyword, or the ambient
-        :func:`run_timeout` budget) is exceeded; both are checked at
-        the same :attr:`DEADLOCK_WINDOW`-bounded cadence.
-
-        The ``max_cycles=`` and ``wall_timeout_s=`` keywords are
-        deprecated spellings (each warns once) of ``until=`` and
-        ``policy=RunPolicy(wall_timeout_s=...)``.
+        :class:`CoSimTimeout` when the wall-clock budget is exceeded;
+        both are checked at the same :attr:`DEADLOCK_WINDOW`-bounded
+        cadence.
         """
-        if max_cycles is not None:
-            deprecated_once(
-                "CoSimulation.run.max_cycles",
-                "CoSimulation.run(max_cycles=...) is deprecated; pass the "
-                "cycle budget as run(until=...)",
-            )
-            if until is None:
-                until = max_cycles
-        if wall_timeout_s is not None:
-            deprecated_once(
-                "CoSimulation.run.wall_timeout_s",
-                "CoSimulation.run(wall_timeout_s=...) is deprecated; use "
-                "run(policy=RunPolicy(wall_timeout_s=...))",
-            )
         if policy is None:
             policy = RunPolicy()
-        if policy.wall_timeout_s is not None:
-            wall_timeout_s = policy.wall_timeout_s
-        budget = policy.budget(until)
-
-        override = (policy.fast_forward is not None
-                    or policy.verify_fast_forward is not None
-                    or policy.deadlock_window is not None)
-        if not override:
-            return self._run(budget, wall_timeout_s)
-        saved_ff = self.fast_forward
-        saved_vff = self.verify_fast_forward
-        had_window = "DEADLOCK_WINDOW" in self.__dict__
-        saved_window = self.DEADLOCK_WINDOW
-        if policy.fast_forward is not None:
-            self.fast_forward = policy.fast_forward
-        if policy.verify_fast_forward is not None:
-            self.verify_fast_forward = policy.verify_fast_forward
-        if policy.deadlock_window is not None:
-            if policy.deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            self.DEADLOCK_WINDOW = policy.deadlock_window
-        try:
-            return self._run(budget, wall_timeout_s)
-        finally:
-            self.fast_forward = saved_ff
-            self.verify_fast_forward = saved_vff
-            if policy.deadlock_window is not None:
-                if had_window:
-                    self.DEADLOCK_WINDOW = saved_window
-                else:
-                    del self.__dict__["DEADLOCK_WINDOW"]
-
-    def _run(
-        self,
-        max_cycles: int,
-        wall_timeout_s: float | None,
-    ) -> CoSimResult:
-        """The undecorated run loop (budget and wall timeout already
-        resolved by :meth:`run`)."""
-        telemetry = self.telemetry
-        if (telemetry is not None and telemetry.phases is not None
-                and telemetry.phases.enabled):
-            return self._run_timed(max_cycles, wall_timeout_s)
-        events = telemetry.bus if telemetry is not None else None
         cpu = self.cpu
-        models = self._models
         stats = cpu.stats
-        fast = self.fast_forward or self.verify_fast_forward
-        verify = self.verify_fast_forward
-        stores_touch_hw = self._stores_touch_hw
-        if wall_timeout_s is None:
-            wall_timeout_s = _default_wall_timeout
-
         start = time.perf_counter()
-        deadline = None if wall_timeout_s is None else start + wall_timeout_s
-        cycles = 0
-        window = self.DEADLOCK_WINDOW
         cycle0 = cpu.cycle
-        # Watchdog checks land on *absolute* multiples of the window and
-        # trip on persisted CPU state (stats.last_retire_cycle), so a
-        # checkpoint-restored continuation checks at exactly the cycles
-        # an uninterrupted run would — deadlock detection (and the
-        # fast-forward skip boundaries it caps) is restore-transparent.
-        next_check = window - cycle0 % window
         instr0 = stats.instructions
         stall0 = stats.stall_cycles
-
-        # Cached hardware quiescence: once every model is at a fixed
-        # point it stays there until the CPU completes an FSL transfer
-        # (or an OPB store lands), so the O(blocks) idle_horizon walk
-        # runs once per busy/blocked episode, not once per cycle.
-        hw_idle = False
-        fsl_ops = stats.fsl_puts + stats.fsl_gets
-        stores = stats.stores
-
-        while not cpu.halted and cycles < max_cycles:
-            if fast:
-                if hw_idle:
-                    hw_horizon = ADVANCE_FOREVER
-                else:
-                    # IDLE_FOREVER and ADVANCE_FOREVER share a value, so
-                    # one min covers both finite and unbounded horizons.
-                    hw_horizon = min(m.idle_horizon() for m in models)
-                    hw_idle = hw_horizon >= ADVANCE_FOREVER
-                if hw_horizon > 0:
-                    skip = min(
-                        cpu.advance_horizon(),
-                        hw_horizon,
-                        next_check - cycles,
-                        max_cycles - cycles,
-                    )
-                    if skip > 0:
-                        if verify:
-                            self._skip_checked(skip)
-                        else:
-                            cpu.advance(skip)
-                            for m in models:
-                                m.fast_forward(skip)
-                        cycles += skip
-                        if events is not None:
-                            # Condensed stand-in for the skipped window
-                            # so exported traces stay cycle-faithful.
-                            events.emit(TelemetryEvent(
-                                FAST_FORWARD, cpu.cycle, COSIM_TRACK, skip
-                            ))
-                        if cycles >= next_check:
-                            if deadline is not None and \
-                                    time.perf_counter() >= deadline:
-                                self._raise_timeout(wall_timeout_s, cycles)
-                            if self._no_progress(cycle0 + cycles, window):
-                                self._raise_deadlock(window)
-                            next_check = cycles + window
-                        continue
-            cpu.tick()
-            if hw_idle:
-                ops = stats.fsl_puts + stats.fsl_gets
-                if ops != fsl_ops or (
-                    stores_touch_hw and stats.stores != stores
-                ):
-                    hw_idle = False
-                fsl_ops = ops
-                stores = stats.stores
-                if hw_idle and not verify:
-                    # The models are frozen: advancing their clocks is
-                    # all a step() would do.
-                    for m in models:
-                        m.fast_forward(1)
-                else:
-                    for m in models:
-                        m.step()
-            else:
-                for m in models:
-                    m.step()
-                fsl_ops = stats.fsl_puts + stats.fsl_gets
-                stores = stats.stores
-            cycles += 1
-            if cycles >= next_check:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    self._raise_timeout(wall_timeout_s, cycles)
-                if self._no_progress(cycle0 + cycles, window):
-                    self._raise_deadlock(window)
-                next_check = cycles + window
-
+        self._run_clocked([cpu], cycle0, policy.budget(until), start,
+                          policy.wall_timeout_s, watch_halted=True,
+                          live_clock=False)
         return self._finish(start, cycle0, instr0, stall0)
-
-    def _no_progress(self, boundary: int, window: int) -> bool:
-        """Watchdog tripwire at absolute cycle ``boundary`` (a multiple
-        of ``window``): no instruction issued in the last full window.
-        ``boundary >= 2 * window`` preserves the historical grace of
-        never tripping the very first boundary of a fresh simulation."""
-        return (
-            boundary >= 2 * window
-            and self.cpu.stats.last_retire_cycle <= boundary - window
-        )
 
     def _finish(self, start: float, cycle0: int, instr0: int,
                 stall0: int) -> CoSimResult:
@@ -538,135 +640,6 @@ class CoSimulation:
             simulated_seconds=run_cycles / cpu.config.frequency_hz,
             halt_reason=cpu.halt_reason,
         )
-
-    def _run_timed(
-        self,
-        max_cycles: int,
-        wall_timeout_s: float | None,
-    ) -> CoSimResult:
-        """Phase-instrumented twin of the :meth:`run` loop.
-
-        Used only when the attached telemetry has an enabled
-        :class:`~repro.telemetry.profile.PhaseTimer`, so the plain loop
-        stays free of timing calls.  Observables (cycles, statistics,
-        FSL interleavings, telemetry events) are identical to
-        :meth:`run`; the hardware-idle caching shortcut is dropped here
-        because per-phase timers want the real per-phase costs.
-        """
-        telemetry = self.telemetry
-        assert telemetry is not None and telemetry.phases is not None
-        timer = telemetry.phases
-        events = telemetry.bus
-        cpu = self.cpu
-        models = self._models
-        stats = cpu.stats
-        fast = self.fast_forward or self.verify_fast_forward
-        verify = self.verify_fast_forward
-        if wall_timeout_s is None:
-            wall_timeout_s = _default_wall_timeout
-        perf = time.perf_counter
-        start = perf()
-        deadline = None if wall_timeout_s is None else start + wall_timeout_s
-        cycles = 0
-        window = self.DEADLOCK_WINDOW
-        cycle0 = cpu.cycle
-        next_check = window - cycle0 % window  # absolute-aligned (see run)
-        instr0 = stats.instructions
-        stall0 = stats.stall_cycles
-
-        while not cpu.halted and cycles < max_cycles:
-            if fast:
-                t0 = perf()
-                hw_horizon = min(m.idle_horizon() for m in models)
-                skip = 0
-                if hw_horizon > 0:
-                    skip = min(
-                        cpu.advance_horizon(),
-                        hw_horizon,
-                        next_check - cycles,
-                        max_cycles - cycles,
-                    )
-                if skip > 0:
-                    if verify:
-                        self._skip_checked(skip)
-                    else:
-                        cpu.advance(skip)
-                        for m in models:
-                            m.fast_forward(skip)
-                    timer.add(PhaseTimer.FAST_FORWARD_SCAN, perf() - t0)
-                    cycles += skip
-                    events.emit(TelemetryEvent(
-                        FAST_FORWARD, cpu.cycle, COSIM_TRACK, skip
-                    ))
-                    if cycles >= next_check:
-                        if deadline is not None and perf() >= deadline:
-                            self._raise_timeout(wall_timeout_s, cycles)
-                        if self._no_progress(cycle0 + cycles, window):
-                            self._raise_deadlock(window)
-                        next_check = cycles + window
-                    continue
-                timer.add(PhaseTimer.FAST_FORWARD_SCAN, perf() - t0)
-            t0 = perf()
-            cpu.tick()
-            t1 = perf()
-            for m in models:
-                m.step()
-            t2 = perf()
-            timer.add(PhaseTimer.CPU_STEP, t1 - t0)
-            timer.add(PhaseTimer.BLOCK_STEP, t2 - t1)
-            cycles += 1
-            if cycles >= next_check:
-                if deadline is not None and perf() >= deadline:
-                    self._raise_timeout(wall_timeout_s, cycles)
-                if self._no_progress(cycle0 + cycles, window):
-                    self._raise_deadlock(window)
-                next_check = cycles + window
-
-        return self._finish(start, cycle0, instr0, stall0)
-
-    # ------------------------------------------------------------------
-    def _skip_checked(self, skip: int) -> None:
-        """verify_fast_forward mode: execute a would-be skipped window
-        per-cycle and prove it was quiescent."""
-        cpu = self.cpu
-        instr_before = cpu.stats.instructions
-        snapshot = [
-            (
-                m,
-                m.cycle,
-                [(p, len(p.samples), p.port.value) for p in m.probes],
-                [
-                    (b, {k: o.value for k, o in b.outputs.items()})
-                    for b in m.blocks
-                ],
-            )
-            for m in self._models
-        ]
-        for _ in range(skip):
-            cpu.tick()
-            for m in self._models:
-                m.step()
-        if cpu.stats.instructions != instr_before:
-            raise FastForwardError(
-                f"an instruction retired inside a {skip}-cycle "
-                "fast-forward window"
-            )
-        for m, cycle0, probes, blocks in snapshot:
-            for probe, n0, value in probes:
-                tail = probe.samples[n0:]
-                if len(tail) != skip or any(s != value for s in tail):
-                    raise FastForwardError(
-                        f"probe {probe.name!r} changed during a "
-                        f"fast-forward window of model {m.name!r}"
-                    )
-            for block, outs in blocks:
-                now = {k: o.value for k, o in block.outputs.items()}
-                if now != outs:
-                    raise FastForwardError(
-                        f"block {block.name!r} outputs changed during a "
-                        f"fast-forward window "
-                        f"(idle_horizon over-promised): {outs} -> {now}"
-                    )
 
     def _raise_timeout(self, budget: float, cycles: int) -> None:
         raise CoSimTimeout(

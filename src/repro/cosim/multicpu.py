@@ -9,7 +9,9 @@ CPU's — no hardware block mediates, exactly like a physical FSL wire
 between two soft processors.  Every CPU may additionally carry its own
 hardware model behind its own
 :class:`~repro.cosim.mb_block.MicroBlazeBlock` (with a per-node channel
-name prefix so names stay system-unique).
+name prefix so names stay system-unique).  Both classes run the one
+clocked loop of :class:`~repro.cosim.environment.ClockedSimulation`;
+a single-CPU co-simulation is its K=1 case.
 
 Deterministic inter-CPU ordering
 --------------------------------
@@ -43,31 +45,19 @@ from dataclasses import dataclass, field
 from repro.asm.linker import Program
 from repro.bus.fsl import FSLChannel
 from repro.cosim.environment import (
+    ClockedSimulation,
     CoSimDeadlock,
     CoSimResult,
     CoSimTimeout,
-    FastForwardError,
 )
-from repro.cosim import environment as _environment
 from repro.cosim.mb_block import MicroBlazeBlock
 from repro.cosim.topology import TopologySpec
-from repro.iss.cpu import ADVANCE_FOREVER, CPU, CPUConfig, HaltReason
+from repro.iss.cpu import CPU, CPUConfig, HaltReason
 from repro.iss.run import make_cpu
 from repro.runapi import RunOutcome, RunPolicy
-from repro.runapi.engine import (
-    ENGINES,
-    SCALAR_ENGINES,
-    EngineError,
-    current_engine,
-)
 from repro.sysgen.model import Model
 from repro.telemetry import Telemetry, current_telemetry
-from repro.telemetry.events import (
-    COSIM_TRACK,
-    DEADLOCK,
-    FAST_FORWARD,
-    TelemetryEvent,
-)
+from repro.telemetry.events import COSIM_TRACK, DEADLOCK, TelemetryEvent
 
 __all__ = [
     "CPUNode",
@@ -129,11 +119,14 @@ class MultiCoSimResult(RunOutcome):
         return out
 
 
-class MultiCoSimulation:
+class MultiCoSimulation(ClockedSimulation):
     """Couples K CPUs over FSL point-to-point links (plus optional
     per-node hardware models) under one global clock."""
 
-    DEADLOCK_WINDOW = _environment.CoSimulation.DEADLOCK_WINDOW
+    _FF_RETIRED_TEXT = ("{track}: an instruction retired inside a "
+                        "{skip}-cycle fast-forward window")
+    _FF_BLOCK_TEXT = ("block {block!r} outputs changed during a "
+                      "fast-forward window: {outs} -> {now}")
 
     def __init__(
         self,
@@ -156,20 +149,13 @@ class MultiCoSimulation:
         self.link_depth = link_depth
         self.fast_forward = fast_forward
         self.verify_fast_forward = verify_fast_forward
-        if engine not in ENGINES:
-            raise EngineError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{', '.join(ENGINES)}")
-        if engine == "auto":
-            ambient = current_engine()
-            if ambient in SCALAR_ENGINES:
-                engine = ambient
-        if engine == "batched":
-            raise EngineError(
-                "engine='batched' is the N-simulations lockstep engine; "
-                "a multi-CPU system is one simulation — batch whole "
-                "MultiCoSimulations via scalar lanes instead")
-        self.engine_request = engine
+        self._adopt_models(
+            [node.model for node in self.nodes if node.model is not None],
+            engine, deadlock_window,
+            "engine='batched' is the N-simulations lockstep engine; "
+            "a multi-CPU system is one simulation — batch whole "
+            "MultiCoSimulations via scalar lanes instead",
+        )
 
         #: inter-CPU FIFOs keyed by link name, in topology link order
         self.links: dict[str, FSLChannel] = topology.build_channels(link_depth)
@@ -194,23 +180,6 @@ class MultiCoSimulation:
                 link.dst_channel, channel)
 
         self.cpus: list[CPU] = [node.cpu for node in self.nodes]
-        self._models: list[Model] = [
-            node.model for node in self.nodes if node.model is not None
-        ]
-        if engine in SCALAR_ENGINES:
-            for model in self._models:
-                model.set_engine(engine)
-        for model in self._models:
-            model.compile()
-        self._stores_touch_hw = any(
-            hasattr(block, "opb_write")
-            for m in self._models
-            for block in m.blocks
-        )
-        if deadlock_window is not None:
-            if deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            self.DEADLOCK_WINDOW = deadlock_window
         #: the global clock — every non-halted CPU's local cycle tracks
         #: it; halted CPUs freeze at their exit cycle
         self._cycle = 0
@@ -341,205 +310,20 @@ class MultiCoSimulation:
         """Run until every CPU exits (or the global cycle budget).
 
         Mirrors :meth:`CoSimulation.run`: ``until`` is this call's
-        global-cycle budget, ``policy`` overrides wall-clock budget,
-        fast-forward mode and watchdog window for the call.
+        global-cycle budget, ``policy`` may set its wall-clock budget.
         """
         if policy is None:
             policy = RunPolicy()
-        wall_timeout_s = policy.wall_timeout_s
-        budget = policy.budget(until)
-
-        override = (policy.fast_forward is not None
-                    or policy.verify_fast_forward is not None
-                    or policy.deadlock_window is not None)
-        if not override:
-            return self._run(budget, wall_timeout_s)
-        saved_ff = self.fast_forward
-        saved_vff = self.verify_fast_forward
-        had_window = "DEADLOCK_WINDOW" in self.__dict__
-        saved_window = self.DEADLOCK_WINDOW
-        if policy.fast_forward is not None:
-            self.fast_forward = policy.fast_forward
-        if policy.verify_fast_forward is not None:
-            self.verify_fast_forward = policy.verify_fast_forward
-        if policy.deadlock_window is not None:
-            if policy.deadlock_window < 1:
-                raise ValueError("deadlock_window must be >= 1")
-            self.DEADLOCK_WINDOW = policy.deadlock_window
-        try:
-            return self._run(budget, wall_timeout_s)
-        finally:
-            self.fast_forward = saved_ff
-            self.verify_fast_forward = saved_vff
-            if policy.deadlock_window is not None:
-                if had_window:
-                    self.DEADLOCK_WINDOW = saved_window
-                else:
-                    del self.__dict__["DEADLOCK_WINDOW"]
-
-    def _run(self, max_cycles: int,
-             wall_timeout_s: float | None) -> MultiCoSimResult:
-        telemetry = self.telemetry
-        events = telemetry.bus if telemetry is not None else None
-        cpus = self.cpus
-        models = self._models
-        fast = self.fast_forward or self.verify_fast_forward
-        verify = self.verify_fast_forward
-        stores_touch_hw = self._stores_touch_hw
-        if wall_timeout_s is None:
-            wall_timeout_s = _environment._default_wall_timeout
-
         start = time.perf_counter()
-        deadline = None if wall_timeout_s is None else start + wall_timeout_s
-        cycles = 0
-        window = self.DEADLOCK_WINDOW
         cycle0 = self._cycle
-        # Watchdog boundaries stay absolute-window-aligned (see
-        # CoSimulation._run) so a checkpoint-restored continuation
-        # checks at exactly the cycles an uninterrupted run would.
-        next_check = window - cycle0 % window
         baseline = [
             (cpu.cycle, cpu.stats.instructions, cpu.stats.stall_cycles)
-            for cpu in cpus
+            for cpu in self.cpus
         ]
-
-        active = [cpu for cpu in cpus if not cpu.halted]
-        hw_idle = False
-        fsl_ops = sum(c.stats.fsl_puts + c.stats.fsl_gets for c in cpus)
-        stores = sum(c.stats.stores for c in cpus)
-
-        while active and cycles < max_cycles:
-            if fast:
-                if hw_idle:
-                    hw_horizon = ADVANCE_FOREVER
-                elif models:
-                    hw_horizon = min(m.idle_horizon() for m in models)
-                    hw_idle = hw_horizon >= ADVANCE_FOREVER
-                else:
-                    hw_horizon = ADVANCE_FOREVER
-                    hw_idle = True
-                if hw_horizon > 0:
-                    skip = min(
-                        min(cpu.advance_horizon() for cpu in active),
-                        hw_horizon,
-                        next_check - cycles,
-                        max_cycles - cycles,
-                    )
-                    if skip > 0:
-                        if verify:
-                            self._skip_checked(skip, active)
-                        else:
-                            for cpu in active:
-                                cpu.advance(skip)
-                            for m in models:
-                                m.fast_forward(skip)
-                        cycles += skip
-                        self._cycle += skip
-                        if events is not None:
-                            events.emit(TelemetryEvent(
-                                FAST_FORWARD, self._cycle, COSIM_TRACK, skip
-                            ))
-                        if cycles >= next_check:
-                            if deadline is not None and \
-                                    time.perf_counter() >= deadline:
-                                self._raise_timeout(wall_timeout_s, cycles)
-                            if self._no_progress(cycle0 + cycles, window,
-                                                 active):
-                                self._raise_deadlock(window)
-                            next_check = cycles + window
-                        continue
-            halted_now = False
-            for cpu in active:
-                cpu.tick()
-                if cpu.halted:
-                    halted_now = True
-            if hw_idle:
-                ops = sum(c.stats.fsl_puts + c.stats.fsl_gets for c in cpus)
-                st = sum(c.stats.stores for c in cpus)
-                if ops != fsl_ops or (stores_touch_hw and st != stores):
-                    hw_idle = False
-                fsl_ops = ops
-                stores = st
-                if hw_idle and not verify:
-                    for m in models:
-                        m.fast_forward(1)
-                else:
-                    for m in models:
-                        m.step()
-            else:
-                for m in models:
-                    m.step()
-                fsl_ops = sum(c.stats.fsl_puts + c.stats.fsl_gets
-                              for c in cpus)
-                stores = sum(c.stats.stores for c in cpus)
-            cycles += 1
-            self._cycle += 1
-            if halted_now:
-                active = [cpu for cpu in active if not cpu.halted]
-            if cycles >= next_check:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    self._raise_timeout(wall_timeout_s, cycles)
-                if active and self._no_progress(cycle0 + cycles, window,
-                                                active):
-                    self._raise_deadlock(window)
-                next_check = cycles + window
-
+        self._run_clocked(self.cpus, cycle0, policy.budget(until), start,
+                          policy.wall_timeout_s, watch_halted=False,
+                          live_clock=True)
         return self._finish(start, cycle0, baseline)
-
-    def _no_progress(self, boundary: int, window: int,
-                     active: list[CPU]) -> bool:
-        """No *active* CPU retired an instruction within the last full
-        window.  Retire cycles are per-CPU local clocks, which equal
-        the global clock for every active CPU — so the comparison is
-        exact and restore-transparent."""
-        return (
-            boundary >= 2 * window
-            and max(cpu.stats.last_retire_cycle for cpu in active)
-            <= boundary - window
-        )
-
-    def _skip_checked(self, skip: int, active: list[CPU]) -> None:
-        """verify_fast_forward: run a would-be skipped window per-cycle
-        and prove no CPU issued and no model moved."""
-        instr_before = [cpu.stats.instructions for cpu in active]
-        snapshot = [
-            (
-                m,
-                [(p, len(p.samples), p.port.value) for p in m.probes],
-                [
-                    (b, {k: o.value for k, o in b.outputs.items()})
-                    for b in m.blocks
-                ],
-            )
-            for m in self._models
-        ]
-        models = self._models
-        for _ in range(skip):
-            for cpu in active:
-                cpu.tick()
-            for m in models:
-                m.step()
-        for cpu, before in zip(active, instr_before):
-            if cpu.stats.instructions != before:
-                raise FastForwardError(
-                    f"{cpu.track}: an instruction retired inside a "
-                    f"{skip}-cycle fast-forward window"
-                )
-        for m, probes, blocks in snapshot:
-            for probe, n0, value in probes:
-                tail = probe.samples[n0:]
-                if len(tail) != skip or any(s != value for s in tail):
-                    raise FastForwardError(
-                        f"probe {probe.name!r} changed during a "
-                        f"fast-forward window of model {m.name!r}"
-                    )
-            for block, outs in blocks:
-                now = {k: o.value for k, o in block.outputs.items()}
-                if now != outs:
-                    raise FastForwardError(
-                        f"block {block.name!r} outputs changed during a "
-                        f"fast-forward window: {outs} -> {now}"
-                    )
 
     def _finish(self, start: float, cycle0: int,
                 baseline: list[tuple[int, int, int]]) -> MultiCoSimResult:

@@ -1,15 +1,13 @@
-"""Per-call execution policy for ``CoSimulation.run``.
+"""Per-call execution policy for ``run()``.
 
-A :class:`RunPolicy` carries everything about *how* one run should
-execute that previously travelled as loose keyword arguments and
-constructor knobs: the wall-clock budget, the fast-forward mode and
-the deadlock watchdog window.  ``None`` fields inherit the
-simulation's configured defaults, so ``RunPolicy()`` is always a
-no-op override::
+A :class:`RunPolicy` carries how one run should execute beyond its
+cycle budget: today that is the wall-clock budget.  ``RunPolicy()`` is
+a no-op, so callers pass one only when they bound a run::
 
     sim.run(until=200_000, policy=RunPolicy(wall_timeout_s=30.0))
-    sim.run(policy=RunPolicy(fast_forward=False))   # reference loop
 
+Fast-forward mode and the watchdog window are configured on the
+simulation itself (``CoSimulation(fast_forward=..., deadlock_window=...)``).
 Policies are frozen (hashable, safe to share across calls and lanes).
 """
 
@@ -23,25 +21,13 @@ DEFAULT_UNTIL = 50_000_000
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """How one ``run()`` call should execute.
+    """How one ``run()`` call should execute: ``wall_timeout_s``
+    overrides the ambient :func:`repro.cosim.environment.run_timeout`
+    budget for the duration of the call only."""
 
-    ``max_cycles`` is the cycle budget used when the call gives no
-    explicit ``until``; the other fields override the simulation's
-    configured defaults for the duration of the call only.
-    """
-
-    max_cycles: int | None = None
     wall_timeout_s: float | None = None
-    fast_forward: bool | None = None
-    verify_fast_forward: bool | None = None
-    deadlock_window: int | None = None
 
     def budget(self, until: int | None) -> int:
         """The effective cycle budget for a run: the explicit
-        ``until`` wins, then the policy default, then the historical
-        50M-cycle ceiling."""
-        if until is not None:
-            return until
-        if self.max_cycles is not None:
-            return self.max_cycles
-        return DEFAULT_UNTIL
+        ``until``, else the historical 50M-cycle ceiling."""
+        return DEFAULT_UNTIL if until is None else until

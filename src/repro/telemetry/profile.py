@@ -120,8 +120,10 @@ class PhaseTimer:
     """Accumulates wall-clock seconds per simulator phase.
 
     The co-simulation run loop feeds this only when a timer is
-    attached *and* enabled — the plain loop stays untouched, which is
-    what keeps telemetry-off overhead near zero.
+    attached *and* enabled.  It times one loop iteration per stride
+    (see :meth:`sample`), so ``calls`` counts sampled iterations and
+    ``seconds`` are estimates that add up to the sampled span of the
+    run.
     """
 
     #: phases the co-simulation loop reports
@@ -137,6 +139,31 @@ class PhaseTimer:
     def add(self, phase: str, seconds: float) -> None:
         self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         self.calls[phase] = self.calls.get(phase, 0) + 1
+
+    def sample(self, since: float, start: float, scanned: float | None,
+               ticked: float | None, end: float) -> float:
+        """Attribute the wall time from ``since`` to ``end`` by the phase
+        split of one timed loop iteration that ran from ``start`` to
+        ``end``; return ``end``.
+
+        ``scanned`` stamps the end of the fast-forward scan (None with
+        fast-forward off) and ``ticked`` the end of the CPU ticks (None
+        when the iteration skipped a window, which is then all scan).
+        """
+        if ticked is None:
+            split = [(self.FAST_FORWARD_SCAN, end - start)]
+        else:
+            tick_start = start if scanned is None else scanned
+            split = [(self.CPU_STEP, ticked - tick_start),
+                     (self.BLOCK_STEP, end - ticked)]
+            if scanned is not None:
+                split.append((self.FAST_FORWARD_SCAN, scanned - start))
+        took = end - start
+        if took > 0:
+            scale = (end - since) / took
+            for phase, seconds in split:
+                self.add(phase, seconds * scale)
+        return end
 
     def reset(self) -> None:
         self.seconds.clear()

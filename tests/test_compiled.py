@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bus.fsl import FSLChannel
+from repro.runapi import engine_scope
 from repro.sysgen import Model
 from repro.sysgen.block import CombBlock
 from repro.sysgen.blocks import (
@@ -45,7 +46,6 @@ from repro.sysgen.blocks import (
     Slice,
     Sub,
 )
-from repro.sysgen.compiled import interpreter_forced
 
 
 def build_zoo():
@@ -172,13 +172,10 @@ def _snapshot(m, chans):
     return (m.state_dict(), [ch.state_dict() for ch in chans])
 
 
-def _run_zoo(force_interp: bool, cycles: int):
+def _run_zoo(engine: str, cycles: int):
     m, gates, chans, bank = build_zoo()
-    m.force_interpreter = force_interp
-    if force_interp:
-        assert m.engine == "interpreter"
-    elif not interpreter_forced():
-        assert m.engine == "compiled"
+    m.set_engine(engine)
+    assert m.engine == engine
     for i in range(cycles):
         _apply(i, gates, chans, bank)
         m.step()
@@ -189,28 +186,31 @@ def _run_zoo(force_interp: bool, cycles: int):
 # Engine selection surface
 # ----------------------------------------------------------------------
 def test_env_escape_hatch(monkeypatch):
+    """The ambient escape hatch to the interpreter is ``engine_scope``;
+    the environment variable that once did this is ignored."""
     monkeypatch.setenv("REPRO_SYSGEN_INTERP", "1")
     m = Model()
     m.add(Counter("c", width=4))
-    assert m.engine == "interpreter"
-    assert m.compiled_source is None
-    monkeypatch.setenv("REPRO_SYSGEN_INTERP", "0")  # falsey spelling
-    m2 = Model()
-    m2.add(Counter("c", width=4))
-    assert m2.engine == "compiled"
+    assert m.engine == "compiled"
+    with engine_scope("interpreter"):
+        m2 = Model()
+        m2.add(Counter("c", width=4))
+        assert m2.engine == "interpreter"
+    assert m2.compiled_source is None
 
 
-def test_force_interpreter_attribute(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_force_interpreter_attribute():
+    """Forcing one model onto the interpreter is ``set_engine``; the
+    model carries no ``force_interpreter`` attribute any more."""
     m = Model()
     m.add(Counter("c", width=4))
-    m.force_interpreter = True
+    assert not hasattr(m, "force_interpreter")
+    m.set_engine("interpreter")
     assert m.engine == "interpreter"
     assert m.compiled_source is None
 
 
-def test_compiled_source_is_inspectable(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_compiled_source_is_inspectable():
     m, _, _, _ = build_zoo()
     src = m.compiled_source
     assert src is not None
@@ -223,11 +223,10 @@ def test_compiled_source_is_inspectable(monkeypatch):
 # Equivalence
 # ----------------------------------------------------------------------
 def test_engines_bit_identical():
-    assert _run_zoo(False, 300) == _run_zoo(True, 300)
+    assert _run_zoo("compiled", 300) == _run_zoo("interpreter", 300)
 
 
-def test_step_batching_matches_per_cycle(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_step_batching_matches_per_cycle():
     runs = []
     for batched in (True, False):
         m, gates, chans, bank = build_zoo()
@@ -269,18 +268,19 @@ def test_reset_rerun_bit_identical(sysgen_engine):
 def test_checkpoint_across_engine_switch():
     """Save under one engine, restore and continue under the other —
     both orders — and land bit-identical with an uninterrupted run."""
-    reference = _run_zoo(False, 240)
-    assert reference == _run_zoo(True, 240)
-    for first, second in ((False, True), (True, False)):
+    reference = _run_zoo("compiled", 240)
+    assert reference == _run_zoo("interpreter", 240)
+    for first, second in (("compiled", "interpreter"),
+                          ("interpreter", "compiled")):
         m1, gates1, chans1, bank1 = build_zoo()
-        m1.force_interpreter = first
+        m1.set_engine(first)
         for i in range(120):
             _apply(i, gates1, chans1, bank1)
             m1.step()
         saved_model, saved_chans = _snapshot(m1, chans1)
 
         m2, gates2, chans2, bank2 = build_zoo()
-        m2.force_interpreter = second
+        m2.set_engine(second)
         m2.load_state(saved_model)
         for ch, payload in zip(chans2, saved_chans):
             ch.load_state(payload)
@@ -320,13 +320,12 @@ def _fallback_model():
     return m
 
 
-def test_fallback_block_in_compiled_schedule(monkeypatch):
-    monkeypatch.delenv("REPRO_SYSGEN_INTERP", raising=False)
+def test_fallback_block_in_compiled_schedule():
     m1 = _fallback_model()
     assert m1.engine == "compiled"  # fallback splices, doesn't disable
     m1.step(50)
     m2 = _fallback_model()
-    m2.force_interpreter = True
+    m2.set_engine("interpreter")
     m2.step(50)
     assert m1.state_dict() == m2.state_dict()
 
@@ -343,9 +342,9 @@ def test_fsl_telemetry_events_identical():
     """BLOCK_FIRE events from FSL endpoints (emitted from inside the
     generated clock section) match the interpreter's exactly."""
     runs = []
-    for force in (False, True):
+    for engine in ("compiled", "interpreter"):
         m, gates, chans, bank = build_zoo()
-        m.force_interpreter = force
+        m.set_engine(engine)
         rec = _Recorder()
         for b in (m.block("rd"), m.block("wr")):
             b.events = rec

@@ -75,7 +75,7 @@ def test_silent_regression_when_live_modes_disagree(tmp_path, monkeypatch):
     bless_golden(tmp_path, [scenario])
     reference = observe(scenario, "per_cycle")
 
-    def fake_check_scenario(sc, modes):
+    def fake_check_scenario(sc, modes, engine="auto"):
         verdict = ScenarioVerdict(scenario=sc, reference=reference)
         verdict.observations["per_cycle"] = reference
         verdict.divergences["fast_forward"] = {
@@ -130,6 +130,22 @@ def test_cli_golden_check_and_tamper(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "semantic-change" in out
     assert "instructions" in out
+
+
+def test_cli_engine_applies_to_corpus_replays(tmp_path, monkeypatch):
+    bless_golden(tmp_path, [_tiny_scenario()])
+    engines = []
+    real_check = golden_mod.check_scenario
+
+    def recording_check(scenario, modes, engine="auto"):
+        engines.append(engine)
+        return real_check(scenario, modes, engine=engine)
+
+    monkeypatch.setattr(golden_mod, "check_scenario", recording_check)
+    assert conformance_main(["--corpus", str(tmp_path), "--count", "0",
+                             "--modes", "fast_forward",
+                             "--engine", "interpreter"]) == 0
+    assert engines == ["interpreter"]
 
 
 def test_cli_empty_corpus_is_usage_error(tmp_path, capsys):

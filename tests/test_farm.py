@@ -337,6 +337,59 @@ class TestFarmCLI:
                 proc.wait(timeout=10)
 
 
+class _RecordingClient:
+    """Stands in for FarmClient; remembers whether it was closed."""
+
+    made: list["_RecordingClient"] = []
+
+    def __init__(self, host, port, tenant=None):
+        self.closed = False
+        self.made.append(self)
+
+    def submit(self, *args, **kwargs):
+        return {"state": "done"}
+
+    def status(self, *args, **kwargs):
+        return {"state": "done"}
+
+    def farm_status(self):
+        return {"workers": {"total": 0}}
+
+    def drain(self):
+        return {"drained": True}
+
+    def close(self):
+        self.closed = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("argv", [
+    ["submit", "--port", "1", "simulate", "JOB"],
+    ["status", "--port", "1"],
+    ["status", "--port", "1", "--job", "j1"],
+    ["drain", "--port", "1"],
+], ids=["submit", "status", "status-job", "drain"])
+def test_cli_subcommands_close_their_client(argv, tmp_path, monkeypatch,
+                                            capsys):
+    import repro.farm
+    from repro.cli import farm_main
+
+    job = tmp_path / "job.json"
+    job.write_text("{}")
+    monkeypatch.setattr(repro.farm, "FarmClient", _RecordingClient)
+    monkeypatch.setattr(_RecordingClient, "made", [])
+    argv = [str(job) if a == "JOB" else a for a in argv]
+    assert farm_main(argv) == 0
+    capsys.readouterr()
+    assert len(_RecordingClient.made) == 1
+    assert _RecordingClient.made[0].closed
+
+
 class TestGdbServerCLI:
     def test_port_file_and_sigint(self, tmp_path):
         """--port 0 writes the actual port machine-readably and SIGINT

@@ -16,6 +16,8 @@ from repro.apps.matmul.design import MatmulDesign
 from repro.bus.fsl import FSLChannel
 from repro.cosim import CoSimulation, FastForwardError, MicroBlazeBlock
 from repro.cosim.environment import CoSimDeadlock
+from repro.cosim.multicpu import CPUNode, MultiCoSimulation
+from repro.cosim.topology import TopologySpec
 from repro.iss.cpu import CPUConfig, CPUError, HaltReason
 from repro.iss.run import make_cpu
 from repro.mcc import CompileOptions, build_executable
@@ -181,18 +183,30 @@ def test_fast_forward_deadlock_detected_at_same_cycle():
 
 def test_fast_forward_verify_catches_lying_idle_horizon():
     # A block that claims quiescence while its state keeps changing must
-    # be caught by verify_fast_forward (the debug cross-check).
+    # be caught by verify_fast_forward (the debug cross-check), by the
+    # one-CPU and the K-CPU simulator alike.  Reports embed the error
+    # text, so each simulator keeps its own wording.
     class LyingCounter(Counter):
         def idle_horizon(self) -> int:
             return IDLE_FOREVER
 
-    model = Model("liar")
-    mb = MicroBlazeBlock(model)
-    model.add(LyingCounter("free", width=8))
     program = build_executable("int main(void) { return 7; }")
-    sim = CoSimulation(program, model, mb, verify_fast_forward=True)
-    with pytest.raises(FastForwardError):
-        sim.run()
+    for multi in (False, True):
+        model = Model("liar")
+        mb = MicroBlazeBlock(model)
+        model.add(LyingCounter("free", width=8))
+        if multi:
+            node = CPUNode(program=program, model=model, mb_block=mb)
+            sim = MultiCoSimulation([node], TopologySpec.pipeline(1),
+                                    verify_fast_forward=True)
+            text = (r"^block 'free' outputs changed during a "
+                    r"fast-forward window: ")
+        else:
+            sim = CoSimulation(program, model, mb, verify_fast_forward=True)
+            text = (r"^block 'free' outputs changed during a fast-forward "
+                    r"window \(idle_horizon over-promised\): ")
+        with pytest.raises(FastForwardError, match=text):
+            sim.run()
 
 
 def test_fast_forward_idle_horizon_tracks_gateway_drive():

@@ -13,11 +13,15 @@ import json
 import pytest
 
 from repro.apps.cordic.design import CordicDesign
+from repro.apps.cordic.pipeline import CordicPipelineDesign
 from repro.cli import profile_main
 from repro.cosim.environment import CoSimulation
+from repro.cosim.multicpu import CPUNode, MultiCoSimulation
+from repro.cosim.topology import TopologySpec
 from repro.iss.run import make_cpu
 from repro.mcc import build_executable
 from repro.telemetry import (
+    FAST_FORWARD,
     FSL_PUSH,
     RETIRE,
     STALL_END,
@@ -139,17 +143,41 @@ class TestDisabledByDefault:
 # Mode invariance: the acceptance contract
 # ----------------------------------------------------------------------
 def run_instrumented(fast_forward: bool, *, fifo_depth=2, regions=False,
-                     phases=False):
+                     phases=False, kind="single"):
+    """Run a CORDIC design under a fresh Telemetry: ``kind`` "single" is
+    the one-CPU P=8 pipeline, "multi" the 6-CPU pipelined design."""
     tel = Telemetry()
-    design = CordicDesign(p=8, iters=24, ndata=16, fifo_depth=fifo_depth,
-                          fast_forward=fast_forward)
+    if kind == "multi":
+        design = CordicPipelineDesign(stages=4, iters=24, ndata=16,
+                                      link_depth=fifo_depth,
+                                      fast_forward=fast_forward)
+    else:
+        design = CordicDesign(p=8, iters=24, ndata=16,
+                              fifo_depth=fifo_depth,
+                              fast_forward=fast_forward)
     if regions:
         tel.enable_regions(design.program)
     if phases:
         tel.enable_phases()
+    fast_forwards = []
+    tel.bus.subscribe(fast_forwards.append, kinds=(FAST_FORWARD,))
     with telemetry_scope(tel):
         result = design.run()
+    tel.fast_forwards = fast_forwards
     return tel, result
+
+
+def _observables(result):
+    """A result's dict without its wall-clock fields (per-CPU too)."""
+    out = {k: v for k, v in result.to_dict().items()
+           if k not in ("wall_seconds", "cycles_per_wall_second")}
+    if "cpus" in out:
+        out["cpus"] = [
+            {k: v for k, v in cpu.items()
+             if k not in ("wall_seconds", "cycles_per_wall_second")}
+            for cpu in out["cpus"]
+        ]
+    return out
 
 
 class TestModeInvariance:
@@ -158,6 +186,63 @@ class TestModeInvariance:
         tel_pc, res_pc = run_instrumented(False)
         assert res_ff.cycles == res_pc.cycles
         assert tel_ff.invariant_snapshot() == tel_pc.invariant_snapshot()
+
+    @pytest.mark.parametrize("fast_forward", [True, False],
+                             ids=["ff", "per-cycle"])
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    def test_phase_timing_changes_no_observable(self, kind, fast_forward):
+        tel_on, res_on = run_instrumented(fast_forward, phases=True,
+                                          kind=kind)
+        tel_off, res_off = run_instrumented(fast_forward, kind=kind)
+        phases = {"cpu_step", "block_step"}
+        if fast_forward:
+            phases.add("fast_forward_scan")
+        assert set(tel_on.phases.calls) == phases
+        assert tel_off.phases is None
+        assert _observables(res_on) == _observables(res_off)
+        assert tel_on.invariant_snapshot() == tel_off.invariant_snapshot()
+        assert tel_on.fast_forwards == tel_off.fast_forwards
+        assert bool(tel_on.fast_forwards) == fast_forward
+
+    @pytest.mark.parametrize("fast_forward", [True, False],
+                             ids=["ff", "per-cycle"])
+    def test_one_node_multi_matches_single_cpu(self, fast_forward):
+        """K=1 of the shared run loop: a one-node MultiCoSimulation of
+        a design is observably the CoSimulation of it."""
+        runs = []
+        for multi in (False, True):
+            design = CordicDesign(p=4, iters=24, ndata=8, fifo_depth=2)
+            tel = Telemetry()
+            fast_forwards = []
+            tel.bus.subscribe(fast_forwards.append, kinds=(FAST_FORWARD,))
+            if multi:
+                node = CPUNode(program=design.program,
+                               cpu_config=design.cpu_config,
+                               model=design.model, mb_block=design.mb,
+                               name="cpu")
+                sim = MultiCoSimulation([node], TopologySpec.pipeline(1),
+                                        fast_forward=fast_forward,
+                                        telemetry=tel)
+                result = sim.run()
+                (result,) = result.cpus
+                cpu = sim.cpus[0]
+            else:
+                sim = CoSimulation(design.program, design.model, design.mb,
+                                   cpu_config=design.cpu_config,
+                                   fast_forward=fast_forward,
+                                   telemetry=tel)
+                result = sim.run()
+                cpu = sim.cpu
+            design.check(cpu, result)
+            runs.append((
+                _observables(result),
+                cpu.state_dict(),
+                design.model.state_dict(),
+                design.mb.state_dict(),
+                tel.invariant_snapshot(),
+                fast_forwards,
+            ))
+        assert runs[0] == runs[1]
 
     def test_snapshot_counts_match_cosim_result(self):
         for fast_forward in (True, False):
@@ -282,9 +367,12 @@ class TestProfilers:
     def test_phase_timer_accounts_the_run_loop(self):
         tel, result = run_instrumented(True, phases=True)
         report = tel.phases.report(result.wall_seconds)
-        assert set(report) >= {"cpu_step", "fast_forward_scan", "other"}
+        assert set(report) == {"cpu_step", "block_step",
+                               "fast_forward_scan", "other"}
         accounted = sum(row["seconds"] for row in report.values())
         assert accounted == pytest.approx(result.wall_seconds, rel=0.05)
+        # stride-sampled: one timed iteration per PHASE_STRIDE cycles
+        assert 0 < report["cpu_step"]["calls"] < result.cycles
 
     def test_phases_off_means_plain_loop(self):
         tel, _ = run_instrumented(True)
